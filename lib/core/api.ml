@@ -162,7 +162,9 @@ let nh_igp_metric = 4
 let igp_unreachable = 0xFFFFFFFF
 
 (* --- blob structure returned by get_arg / get_xtra: u32 length
-       followed by the payload bytes. map_lookup is NOT a blob: it
+       followed by the payload bytes. A get_arg blob is a copy in the
+       ephemeral heap; a get_xtra blob is mapped read-only (a program
+       that wants to edit one copies it first). map_lookup is NOT a blob: it
        returns the raw value bytes (the length is the map's declared
        value_size, known statically to the bytecode) --- *)
 
@@ -210,3 +212,6 @@ let source_size = 20
 let heap_base = 0x2000_0000L  (** ephemeral, freed after each run *)
 
 let scratch_base = 0x4000_0000L  (** persistent, shared per xBGP program *)
+
+let xtra_base = 0x6000_0000L
+(** read-only [get_xtra] blobs, mapped per call and unmapped after the run *)

@@ -12,22 +12,19 @@ type map_spec = Ebpf.Map.spec = {
   key_size : int;
   value_size : int;
   max_entries : int;
-  shared : bool;  (** one instance across VMM shards (see {!Ebpf.Map.spec}) *)
 }
 
 val map :
   ?name:string ->
   ?kind:Ebpf.Map.kind ->
   ?max_entries:int ->
-  ?shared:bool ->
   key_size:int ->
   value_size:int ->
   unit ->
   map_spec
 (** Spec builder; defaults to an anonymous 1024-entry hash map
-    (anonymous maps are named ["map<i>"] by {!v}), per-shard
-    ([shared] defaults to [false]). Not validated here — {!v} validates
-    via {!Ebpf.Map.validate}. *)
+    (anonymous maps are named ["map<i>"] by {!v}). Not validated here —
+    {!v} validates via {!Ebpf.Map.validate}. *)
 
 type t = {
   name : string;

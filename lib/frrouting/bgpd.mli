@@ -34,7 +34,6 @@ val config :
   ?xtras:(string * bytes) list ->
   ?batch_updates:bool ->
   ?update_groups:bool ->
-  ?shards:int ->
   name:string ->
   router_id:int ->
   local_as:int ->
@@ -49,14 +48,7 @@ val config :
     [update_groups] (default [true]) partitions peers into update groups
     ({!Rib.Update_group}) so export policy, outbound dispatch and UPDATE
     encoding run once per group and the frames fan out to every member;
-    [false] restores the per-peer export path (the fan-out baseline).
-    [shards] (default [1]) partitions the Loc-RIB by prefix hash across
-    that many OCaml domains: import-filter dispatch and UPDATE encoding
-    fan out to per-shard workers when the attached chains pass
-    {!Xbgp.Vmm.shard_parallel_safe}, while every state commit stays on
-    the coordinating domain in submission order — so the observable
-    routing state is identical, route for route, to [shards = 1].
-    [1] spawns no domain and is bit-for-bit today's sequential path. *)
+    [false] restores the per-peer export path (the fan-out baseline). *)
 
 (** Validation-result communities attached by native origin validation
     and, identically, by the extension (65535:1/2/3). *)
@@ -114,11 +106,6 @@ val create :
 val start : t -> unit
 (** Run extension init bytecodes, then open all sessions. *)
 
-val shutdown : t -> unit
-(** Join the worker domains (no-op for an unsharded daemon). Call when
-    the simulation retires the router; the parallel lanes are unusable
-    afterwards. *)
-
 val originate : t -> Bgp.Prefix.t -> Bgp.Attr.t list -> unit
 (** Originate a route locally with explicit attributes (e.g. a RIS feed,
     §3.2); it enters the Loc-RIB and is advertised per policy. *)
@@ -161,11 +148,6 @@ val telemetry : t -> Telemetry.t
 val group_count : t -> int
 (** Active update groups (0 until a peer syncs, or when [update_groups]
     is off). *)
-
-val shard_info : t -> Shard.Info.t
-(** Per-shard route balance, VM load, queue pressure and lane counters —
-    the [show shards] payload. Degenerate but well-formed when
-    unsharded. *)
 
 val peer : t -> int -> peer
 val peer_established : t -> int -> bool

@@ -94,11 +94,11 @@ let extra_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (199, 51, k, 0)) 24
 
 let feed_prefix k = Bgp.Prefix.v (Bgp.Prefix.addr_of_quad (198, 18, k, 0)) 24
 
-let run_leg (c : case) ~grouped ~shards : obs =
+let run_leg (c : case) ~grouped : obs =
   let manifest = Option.bind c.extension Xprogs.Registry.find_manifest in
   let star =
     Scenario.Star.create ~host:c.host ?manifest ~update_groups:grouped
-      ~shards ~hold_time:3 ~npeers:c.npeers ()
+      ~hold_time:3 ~npeers:c.npeers ()
   in
   let rc = Obs.Recorder.create ~capacity:4096 ~name:"dut" () in
   Scenario.Star.attach_recorder star rc;
@@ -154,23 +154,19 @@ let run_leg (c : case) ~grouped ~shards : obs =
   Scenario.Star.withdraw_local star
     (match c.routes with r :: _ -> r.prefix | [] -> extra_prefix 1);
   Scenario.Star.settle star;
-  let obs =
-    {
-      frames =
-        Array.init c.npeers (fun i ->
-            List.map Bytes.to_string (Scenario.Star.sink_frames star i));
-      ribs = Array.init c.npeers (Scenario.Star.sink_rib star);
-      loc = Scenario.Daemon.loc_snapshot (Scenario.Star.dut star);
-      groups = Scenario.Daemon.group_count (Scenario.Star.dut star);
-      maps =
-        (match Scenario.Star.dut_vmm star with
-        | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
-        | None -> "");
-      tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
-    }
-  in
-  Scenario.Star.shutdown star;
-  obs
+  {
+    frames =
+      Array.init c.npeers (fun i ->
+          List.map Bytes.to_string (Scenario.Star.sink_frames star i));
+    ribs = Array.init c.npeers (Scenario.Star.sink_rib star);
+    loc = Scenario.Daemon.loc_snapshot (Scenario.Star.dut star);
+    groups = Scenario.Daemon.group_count (Scenario.Star.dut star);
+    maps =
+      (match Scenario.Star.dut_vmm star with
+      | Some vmm -> Oracle.render_map_state (Xbgp.Vmm.map_state vmm)
+      | None -> "");
+    tail = Obs.Recorder.tail_lines ~n:12 ~prefix:"    " rc;
+  }
 
 let first_mismatch a b =
   let rec go i a b =
@@ -209,9 +205,9 @@ let diff (c : case) (g : obs) (b : obs) : string list =
       g.maps b.maps;
   List.rev !fs
 
-let run_case ?(perturb = false) ?(shards = 1) (c : case) : string list =
-  let grouped = run_leg c ~grouped:true ~shards in
-  let baseline = run_leg c ~grouped:false ~shards in
+let run_case ?(perturb = false) (c : case) : string list =
+  let grouped = run_leg c ~grouped:true in
+  let baseline = run_leg c ~grouped:false in
   let grouped =
     if perturb && Array.length grouped.frames > 0 then (
       (* self-test: corrupt one grouped frame AND the map fingerprint so
@@ -241,13 +237,12 @@ let pp_summary ppf s =
     s.cases
     (List.length s.failures)
 
-let campaign ?(perturb = false) ?(shards = 1) ?(log = fun _ -> ()) ~seed
-    ~cases () : summary =
+let campaign ?(perturb = false) ?(log = fun _ -> ()) ~seed ~cases () : summary =
   let failures = ref [] in
   for index = 0 to cases - 1 do
     let c = case ~seed ~index in
     log (Format.asprintf "%a" pp_case c);
-    match run_case ~perturb ~shards c with
+    match run_case ~perturb c with
     | [] -> ()
     | fs -> failures := (c, fs) :: !failures
   done;

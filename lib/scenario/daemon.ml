@@ -114,14 +114,6 @@ let vmm = function
   | Frr d -> Frrouting.Bgpd.vmm d
   | Bird d -> Bird.Bgpd.vmm d
 
-let shutdown = function
-  | Frr d -> Frrouting.Bgpd.shutdown d
-  | Bird d -> Bird.Bgpd.shutdown d
-
-let shard_info = function
-  | Frr d -> Frrouting.Bgpd.shard_info d
-  | Bird d -> Bird.Bgpd.shard_info d
-
 (** Provenance of the prefix's current best route (or the last
     reject/withdraw record). *)
 let provenance t prefix =

@@ -178,10 +178,13 @@ let import =
 
 let program =
   Xbgp.Xprog.v ~name:"origin_validation"
-    (* the ROA table is read-only config data filled once at Bgp_init —
-       one instance visible to every shard, so the init attachment stays
-       legal at a control point under a sharded VMM *)
-    ~maps:[ Xbgp.Xprog.map ~name:"roa" ~shared:true ~key_size:8 ~value_size:4 () ]
+    (* sized for a full ROA file: the init bytecode fills the map from
+       the configuration blob, and an update past [max_entries] fails *)
+    ~maps:
+      [
+        Xbgp.Xprog.map ~name:"roa" ~max_entries:Ebpf.Map.max_max_entries
+          ~key_size:8 ~value_size:4 ();
+      ]
     ~allowed_helpers:
       Xbgp.Api.
         [

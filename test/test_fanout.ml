@@ -521,8 +521,8 @@ let test_map_state_equivalence () =
       incr checked;
       let label = Format.asprintf "%a" Fuzz.Fanout.pp_case c in
       check_bool (label ^ ": equivalent") true (Fuzz.Fanout.run_case c = []);
-      let g = Fuzz.Fanout.run_leg c ~grouped:true ~shards:1 in
-      let b = Fuzz.Fanout.run_leg c ~grouped:false ~shards:1 in
+      let g = Fuzz.Fanout.run_leg c ~grouped:true in
+      let b = Fuzz.Fanout.run_leg c ~grouped:false in
       check_bool (label ^ ": maps non-empty") true (g.Fuzz.Fanout.maps <> "");
       check_bool (label ^ ": map fingerprints byte-identical") true
         (g.Fuzz.Fanout.maps = b.Fuzz.Fanout.maps)

@@ -1,5 +1,6 @@
 (* Tests for the RIB substrate: the prefix trie against a reference
-   model, the RFC 4271 decision process, and the Loc-RIB container. *)
+   model, the RFC 4271 decision process, the Loc-RIB container against
+   a full re-selection model, and the Adj-RIB running total. *)
 
 let check = Alcotest.check
 let check_bool = Alcotest.check Alcotest.bool
@@ -251,6 +252,101 @@ let prop_loc_rib_count =
       let recount = Rib.Loc_rib.fold_best rib (fun _ _ n -> n + 1) 0 in
       Rib.Loc_rib.count rib = recount)
 
+(* --- Loc-RIB vs a full re-selection model ---
+
+   [Loc_rib.update] keeps the incumbent best and settles most updates
+   with one comparison; the model re-selects every prefix from scratch
+   (first minimal candidate in peer-id order) and orders prefixes as
+   the trie does. Integer routes under a one-step view (higher wins)
+   tie only when equal, so the best route value is history-free even
+   where the incumbent fast path keeps a tied older candidate. *)
+
+let int_view : int Rib.Decision.view =
+  {
+    local_pref = Fun.id;
+    as_path_len = (fun _ -> 0);
+    origin = (fun _ -> 0);
+    med = (fun _ -> 0);
+    neighbor_as = (fun _ -> 0);
+    is_ebgp = (fun _ -> true);
+    igp_cost = (fun _ -> 0);
+    originator_id = (fun _ -> 0);
+    cluster_list_len = (fun _ -> 0);
+    peer_addr = (fun _ -> 0);
+  }
+
+let op_prefix k =
+  let k = k land 63 in
+  if k mod 3 = 0 then Bgp.Prefix.v ((k lsl 16) * 256) 16
+  else Bgp.Prefix.v (0x0A00_0000 lor (k lsl 8)) 24
+
+(* trie order: address ascending, shorter prefix first on ties *)
+let trie_order a b =
+  match Int.compare (Bgp.Prefix.addr a) (Bgp.Prefix.addr b) with
+  | 0 -> Int.compare (Bgp.Prefix.len a) (Bgp.Prefix.len b)
+  | c -> c
+
+let model_select cands =
+  List.fold_left
+    (fun best (_, r) ->
+      match best with
+      | Some b when Rib.Decision.compare int_view r b >= 0 -> best
+      | _ -> Some r)
+    None cands
+
+let prop_loc_rib_model =
+  QCheck.Test.make ~count:200
+    ~name:"Loc-RIB == full re-selection model"
+    QCheck.(
+      list_of_size Gen.(int_range 0 60)
+        (triple (int_bound 3) (int_bound 63) (option (int_bound 1000))))
+    (fun ops ->
+      let rib = Rib.Loc_rib.create int_view in
+      let model = Hashtbl.create 16 in
+      List.iter
+        (fun (peer, k, r) ->
+          let p = op_prefix k in
+          ignore (Rib.Loc_rib.update rib ~peer p r);
+          let others =
+            List.filter (fun (q, _) -> q <> peer)
+              (Option.value ~default:[] (Hashtbl.find_opt model p))
+          in
+          let cands =
+            match r with
+            | Some r -> List.sort compare ((peer, r) :: others)
+            | None -> others
+          in
+          if cands = [] then Hashtbl.remove model p
+          else Hashtbl.replace model p cands)
+        ops;
+      let expect =
+        Hashtbl.fold
+          (fun p cands acc ->
+            match model_select cands with
+            | Some r -> (p, r) :: acc
+            | None -> acc)
+          model []
+        |> List.sort (fun (a, _) (b, _) -> trie_order a b)
+      in
+      let stream =
+        List.rev (Rib.Loc_rib.fold_best rib (fun p r acc -> (p, r) :: acc) [])
+      in
+      stream = expect
+      && Rib.Loc_rib.count rib = List.length expect
+      && List.for_all
+           (fun k ->
+             let p = op_prefix k in
+             let cands =
+               Option.value ~default:[] (Hashtbl.find_opt model p)
+             in
+             Rib.Loc_rib.candidates rib p = cands
+             && Rib.Loc_rib.best rib p = model_select cands
+             &&
+             match Rib.Loc_rib.best_with_peer rib p with
+             | None -> cands = []
+             | Some (peer, r) -> List.assoc_opt peer cands = Some r)
+           (List.init 64 Fun.id))
+
 (* --- Adj-RIB --- *)
 
 let test_adj_rib () =
@@ -272,6 +368,36 @@ let test_adj_rib () =
     (Rib.Adj_rib.clear adj ~peer:0 (p "10.0.0.0/8"));
   Rib.Adj_rib.drop_peer adj 1;
   check Alcotest.int "dropped" 0 (Rib.Adj_rib.total adj)
+
+(* the total is an O(1) running counter: it must match a per-peer
+   recount after inserts, replacements, double clears and peer drops *)
+let test_adj_total_consistent () =
+  let adj = Rib.Adj_rib.create () in
+  let recount () =
+    List.fold_left
+      (fun acc peer -> acc + Rib.Adj_rib.count_peer adj ~peer)
+      0 (Rib.Adj_rib.peers adj)
+  in
+  let check_total ctx =
+    check Alcotest.int ctx (recount ()) (Rib.Adj_rib.total adj)
+  in
+  check_total "empty";
+  for peer = 0 to 3 do
+    for k = 0 to 15 do
+      ignore (Rib.Adj_rib.set adj ~peer (op_prefix k) (peer + k))
+    done
+  done;
+  check_total "after 64 sets";
+  (* replacing is not an insert *)
+  ignore (Rib.Adj_rib.set adj ~peer:0 (op_prefix 0) 999);
+  check_total "after replace";
+  ignore (Rib.Adj_rib.clear adj ~peer:1 (op_prefix 3));
+  (* double clear: second is a no-op *)
+  ignore (Rib.Adj_rib.clear adj ~peer:1 (op_prefix 3));
+  check_total "after clear";
+  Rib.Adj_rib.drop_peer adj 2;
+  check_total "after drop_peer";
+  check Alcotest.int "total reflects the drops" 47 (Rib.Adj_rib.total adj)
 
 let () =
   let qc = Qc.to_alcotest in
@@ -295,6 +421,12 @@ let () =
         [
           Alcotest.test_case "change reporting" `Quick test_loc_rib_changes;
           qc prop_loc_rib_count;
+          qc prop_loc_rib_model;
         ] );
-      ("adj-rib", [ Alcotest.test_case "basics" `Quick test_adj_rib ]);
+      ( "adj-rib",
+        [
+          Alcotest.test_case "basics" `Quick test_adj_rib;
+          Alcotest.test_case "total is a consistent running counter" `Quick
+            test_adj_total_consistent;
+        ] );
     ]

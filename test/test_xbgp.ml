@@ -78,6 +78,22 @@ let test_manifest_parse_errors () =
   check_bool "comments and blanks ok" false
     (bad "# hello\n\nprogram p # trailing\n")
 
+(* a map line is exactly six fields: a trailing token such as [shared]
+   is a bad map mode *)
+let test_manifest_map_mode () =
+  let line = "map p roa hash 8 4 1024" in
+  check_bool "six-field map line parses" true
+    (match Xbgp.Manifest.parse line with Ok _ -> true | Error _ -> false);
+  let contains ~sub s =
+    let n = String.length sub and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  check_bool "trailing 'shared' rejected as a bad map mode" true
+    (match Xbgp.Manifest.parse (line ^ " shared") with
+    | Error e -> contains ~sub:"bad map mode \"shared\"" e
+    | Ok _ -> false)
+
 let test_manifest_load_errors () =
   let vmm = fresh_vmm () in
   let m = Xbgp.Manifest.v ~programs:[ "missing" ] ~attachments:[] in
@@ -267,6 +283,70 @@ let test_ephemeral_heap_reset () =
       0L
       (run_point vmm Xbgp.Api.Bgp_decision (fun () -> -1L))
   done
+
+(* get_xtra maps the host's configuration blob read-only for the run:
+   a blob larger than the whole extension heap is readable, a repeated
+   call for the same key returns the same mapping, and a write into it
+   faults to the native default. *)
+let test_get_xtra_read_only () =
+  let vmm = Xbgp.Vmm.create ~host:"test" ~heap_size:4096 () in
+  let key = Xprogs.Util.store_cstring ~at:(-8) "big" in
+  let get_big =
+    key @ [ mov r1 Ebpf.Insn.R10; addi r1 (-8); call Xbgp.Api.h_get_xtra ]
+  in
+  let r6 = Ebpf.Insn.R6 and r7 = Ebpf.Insn.R7 in
+  let prog =
+    Xbgp.Xprog.v ~name:"xtra"
+      [
+        ( "read",
+          assemble
+            (get_big
+            @ [ jeqi r0 0 "none"; mov r6 r0 ]
+            @ get_big
+            @ [
+                jne r0 r6 "moved";
+                (* the blob's last payload byte: base + 4 + len - 1 *)
+                ldxw r7 r6 0;
+                add r7 r6;
+                ldxb r0 r7 3;
+                exit_;
+                label "moved";
+                movi r0 (-2);
+                exit_;
+                label "none";
+                movi r0 (-3);
+                exit_;
+              ]) );
+        ( "write",
+          assemble
+            (get_big @ [ jeqi r0 0 "none"; stb r0 4 0; movi r0 0; exit_ ]
+            @ [ label "none"; movi r0 (-3); exit_ ]) );
+      ]
+  in
+  ok (Xbgp.Vmm.register vmm prog);
+  let blob = Bytes.make 100_000 'x' in
+  Bytes.set blob (Bytes.length blob - 1) 'z';
+  let ops =
+    {
+      Xbgp.Host_intf.null_ops with
+      get_xtra = (fun k -> if k = "big" then Some blob else None);
+    }
+  in
+  ok
+    (Xbgp.Vmm.attach vmm ~program:"xtra" ~bytecode:"read"
+       ~point:Xbgp.Api.Bgp_decision ~order:0);
+  for run = 1 to 3 do
+    check_i64
+      (Printf.sprintf "run %d reads past the heap size, one mapping" run)
+      (Int64.of_int (Char.code 'z'))
+      (run_point ~ops vmm Xbgp.Api.Bgp_decision (fun () -> -1L))
+  done;
+  ok
+    (Xbgp.Vmm.attach vmm ~program:"xtra" ~bytecode:"write"
+       ~point:Xbgp.Api.Bgp_outbound_filter ~order:0);
+  check_i64 "a write into the blob faults to the native default" (-1L)
+    (run_point ~ops vmm Xbgp.Api.Bgp_outbound_filter (fun () -> -1L));
+  check Alcotest.int "one fault recorded" 1 (Xbgp.Vmm.stats vmm).faults
 
 let test_scratch_persists () =
   (* a counter in scratch memory survives across runs *)
@@ -620,6 +700,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_manifest_parse_errors;
+          Alcotest.test_case "map mode rejected" `Quick test_manifest_map_mode;
           Alcotest.test_case "load errors" `Quick test_manifest_load_errors;
         ] );
       ( "vmm",
@@ -641,6 +722,8 @@ let () =
             test_budget_fault_falls_back;
           Alcotest.test_case "ephemeral heap reset" `Quick
             test_ephemeral_heap_reset;
+          Alcotest.test_case "get_xtra blob is read-only" `Quick
+            test_get_xtra_read_only;
           Alcotest.test_case "scratch persists" `Quick test_scratch_persists;
           Alcotest.test_case "isolation between programs" `Quick
             test_isolation_no_foreign_scratch;

@@ -311,6 +311,83 @@ let test_ov_verdicts () =
   ov_check vmm "99.0.0.0/16" [ 1; 2; 650 ] 0xFFFF0003
 (* not found *)
 
+(* The shipped program on a full table, through a star DUT on each host:
+   8k routes and their ROA file, more ROAs than fit a default-sized map
+   or a copy in the 64 KiB extension heap. Every route must reach the
+   receiving peer tagged with the community Rpki.Store_hash assigns it
+   (exact-length ROAs over disjoint prefixes, so the exact-match map
+   lookup and the reference validator agree). *)
+let test_ov_full_table host () =
+  let routes =
+    Dataset.Ris_gen.generate
+      {
+        Dataset.Ris_gen.default_config with
+        seed = 11;
+        count = 8000;
+        disjoint = true;
+      }
+  in
+  let roas =
+    Dataset.Ris_gen.roas_for ~seed:12 ~valid_pct:75 ~invalid_pct:13 routes
+  in
+  let store = Rpki.Store_hash.of_list roas in
+  let star =
+    Scenario.Star.create ~host ~npeers:2
+      ~manifest:Xprogs.Origin_validation.manifest
+      ~xtras:[ ("roa_table", Xprogs.Util.encode_roa_table roas) ]
+      ~record_frames:false ()
+  in
+  Scenario.Star.establish star;
+  (* the feeder (sink 0, AS 65101) prepends itself and is the next hop *)
+  List.iter
+    (fun (r : Dataset.Ris_gen.route) ->
+      let attrs =
+        List.map
+          (fun (a : Bgp.Attr.t) ->
+            match a.value with
+            | Bgp.Attr.Next_hop _ ->
+              Bgp.Attr.v (Bgp.Attr.Next_hop (Scenario.Star.sink_address star 0))
+            | Bgp.Attr.As_path segs ->
+              Bgp.Attr.v
+                (Bgp.Attr.As_path
+                   [ Bgp.Attr.Seq (65101 :: Bgp.Attr.as_path_asns segs) ])
+            | _ -> a)
+          r.attrs
+      in
+      Scenario.Star.sink_announce star 0 ~attrs [ r.prefix ])
+    routes;
+  check_bool "receiver holds the full table" true
+    (Scenario.Star.run_until star (fun () ->
+         Scenario.Star.sink_rib_size star 1 >= 8000));
+  let held = Scenario.Star.sink_rib star 1 in
+  let tags = Hashtbl.create 8000 in
+  List.iter
+    (fun (p, attrs) ->
+      List.iter
+        (fun (a : Bgp.Attr.t) ->
+          match a.value with
+          | Bgp.Attr.Communities cs when cs <> [] ->
+            Hashtbl.replace tags p (List.nth cs (List.length cs - 1))
+          | _ -> ())
+        attrs)
+    held;
+  let wrong =
+    List.filter
+      (fun (r : Dataset.Ris_gen.route) ->
+        let origin = Option.value ~default:1 (Dataset.Ris_gen.origin_as r) in
+        let expected =
+          match Rpki.Store_hash.validate store r.prefix origin with
+          | Rpki.Roa.Valid -> Frrouting.Bgpd.ov_community_valid
+          | Rpki.Roa.Invalid -> Frrouting.Bgpd.ov_community_invalid
+          | Rpki.Roa.Not_found -> Frrouting.Bgpd.ov_community_notfound
+        in
+        Hashtbl.find_opt tags r.prefix <> Some expected)
+      routes
+  in
+  check Alcotest.int "routes held" 8000 (List.length held);
+  check Alcotest.int "routes whose community disagrees with Store_hash" 0
+    (List.length wrong)
+
 (* --- valley_free --- *)
 
 let vf_vmm pairs internal =
@@ -967,6 +1044,10 @@ let () =
           Alcotest.test_case "init populates map" `Quick
             test_ov_init_populates_map;
           Alcotest.test_case "verdicts + tagging" `Quick test_ov_verdicts;
+          Alcotest.test_case "8k-route table + ROA file (FRR)" `Quick
+            (test_ov_full_table `Frr);
+          Alcotest.test_case "8k-route table + ROA file (BIRD)" `Quick
+            (test_ov_full_table `Bird);
         ] );
       ( "valley_free",
         [ Alcotest.test_case "pair detection" `Quick test_valley_free ] );
