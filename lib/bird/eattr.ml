@@ -231,13 +231,15 @@ let get_tlv set code =
     Some b
 
 (** Install an attribute straight from the neutral TLV — the payload is
-    stored as-is, no parsing. *)
+    stored as-is, no parsing. A malformed TLV raises the same exception
+    as [Bgp.Attr.of_tlv], the FRR-side adapter's parser. *)
 let set_tlv set tlv =
-  if Bytes.length tlv < 4 then invalid_arg "Eattr.set_tlv: short TLV";
+  let malformed m = raise (Bgp.Attr.Parse_error ("Eattr.set_tlv: " ^ m)) in
+  if Bytes.length tlv < 4 then malformed "short TLV";
   let flags = Bytes.get_uint8 tlv 0 in
   let code = Bytes.get_uint8 tlv 1 in
   let len = Bytes.get_uint16_be tlv 2 in
-  if Bytes.length tlv < 4 + len then invalid_arg "Eattr.set_tlv: truncated";
+  if Bytes.length tlv < 4 + len then malformed "truncated";
   set_eattr set { code; flags; payload = Bytes.sub_string tlv 4 len }
 
 (* --- scalar accessors (parse on demand) --- *)

@@ -80,7 +80,8 @@ val invalidate_conversion : set -> unit
 
 val get_tlv : set -> int -> bytes option
 val set_tlv : set -> bytes -> set
-(** @raise Invalid_argument on a malformed TLV. *)
+(** @raise Bgp.Attr.Parse_error on a TLV shorter than its 4-byte header
+    or with a truncated payload. *)
 
 (** {1 Scalar accessors} (parse on demand) *)
 

@@ -214,29 +214,15 @@ let run_hostile_host host (c : Gen.case) : hostile_state =
   let sched = Netsim.Sched.create () in
   let p_atk, p_dut = Netsim.Pipe.create sched in
   let dut =
-    match host with
-    | `Frr ->
-      Scenario.Daemon.Frr
-        (Frrouting.Bgpd.create ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:65000 ~local_addr:dut_addr ())
-           [
-             {
-               Frrouting.Bgpd.pname = "attacker";
-               remote_as = attacker_as;
-               remote_addr = attacker_addr;
-               rr_client = false;
-               port = p_dut;
-             };
-           ])
-    | `Bird ->
-      Scenario.Daemon.Bird
-        (Bird.Bgpd.create ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr ~local_as:65000
+    match Scenario.Daemon.host host with
+    | Scenario.Daemon.Host ((module D), wrap) ->
+      wrap
+        (D.create ~sched
+           (D.config ~name:"dut" ~router_id:dut_addr ~local_as:65000
               ~local_addr:dut_addr ())
            [
              {
-               Bird.Bgpd.pname = "attacker";
+               Pipeline.Common.pname = "attacker";
                remote_as = attacker_as;
                remote_addr = attacker_addr;
                rr_client = false;

@@ -1,9 +1,15 @@
-(** A uniform handle over the two daemon implementations, for harness
-    code (tests, examples, benchmarks) that instantiates either host.
-    Deliberately not part of the xBGP architecture — the daemons stay
-    independent programs. *)
+(** A uniform handle over the two hosts, for harness code (tests,
+    examples, benchmarks) that instantiates either one. Not part of the
+    xBGP architecture: both daemons are instances of {!Pipeline.Make},
+    and this module only packs them behind one type. *)
 
 type t = Frr of Frrouting.Bgpd.t | Bird of Bird.Bgpd.t
+
+(** A host's pipeline module and the constructor that wraps its daemons
+    — how harness code creates a DUT on either host with one code path. *)
+type host = Host : (module Pipeline.S with type t = 'd) * ('d -> t) -> host
+
+val host : [< `Bird | `Frr ] -> host
 
 val name : t -> string
 val start : t -> unit

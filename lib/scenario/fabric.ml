@@ -73,47 +73,24 @@ let build ?(host : Testbed.host = `Frr) ?(with_transit = false)
           else None
         in
         let daemon =
-          match host with
-          | `Frr ->
-            let confs =
-              List.map
-                (fun (_, other, port) ->
-                  let o = Dataset.Clos.router clos other in
-                  {
-                    Frrouting.Bgpd.pname = other;
-                    remote_as = o.asn;
-                    remote_addr = o.addr;
-                    rr_client = false;
-                    port;
-                  })
-                peers
-            in
-            Daemon.Frr
-              (Frrouting.Bgpd.create ~telemetry ?vmm ~sched
-                 (Frrouting.Bgpd.config ~name:r.rname ~router_id:r.router_id
+          match Daemon.host host with
+          | Daemon.Host ((module D), wrap) ->
+            wrap
+              (D.create ~telemetry ?vmm ~sched
+                 (D.config ~name:r.rname ~router_id:r.router_id
                     ~local_as:r.asn ~local_addr:r.addr ~hold_time
                     ~batch_updates ~update_groups ~xtras ())
-                 confs)
-          | `Bird ->
-            let confs =
-              List.map
-                (fun (_, other, port) ->
-                  let o = Dataset.Clos.router clos other in
-                  {
-                    Bird.Bgpd.pname = other;
-                    remote_as = o.asn;
-                    remote_addr = o.addr;
-                    rr_client = false;
-                    port;
-                  })
-                peers
-            in
-            Daemon.Bird
-              (Bird.Bgpd.create ~telemetry ?vmm ~sched
-                 (Bird.Bgpd.config ~name:r.rname ~router_id:r.router_id
-                    ~local_as:r.asn ~local_addr:r.addr ~hold_time
-                    ~batch_updates ~update_groups ~xtras ())
-                 confs)
+                 (List.map
+                    (fun (_, other, port) ->
+                      let o = Dataset.Clos.router clos other in
+                      {
+                        Pipeline.Common.pname = other;
+                        remote_as = o.asn;
+                        remote_addr = o.addr;
+                        rr_client = false;
+                        port;
+                      })
+                    peers))
         in
         (r.rname, daemon))
       clos.routers
@@ -165,12 +142,7 @@ let repair_link t a b =
    with
   | Some (pa, _) -> Netsim.Pipe.set_up pa true
   | None -> invalid_arg (Printf.sprintf "Fabric.repair_link: no link %s-%s" a b));
-  List.iter
-    (fun (_, d) ->
-      match d with
-      | Daemon.Frr fd -> Frrouting.Bgpd.restart_sessions fd
-      | Daemon.Bird bd -> Bird.Bgpd.restart_sessions bd)
-    t.daemons
+  List.iter (fun (_, d) -> Daemon.restart_sessions d) t.daemons
 
 (** Does [router] currently hold a route towards [target]'s prefix? *)
 let reaches t router target =

@@ -62,30 +62,16 @@ let create ?(host = `Frr) ?manifest ?(engine = Ebpf.Vm.Interpreted) ?telemetry
         manifest
   in
   let dut =
-    match host with
-    | `Frr ->
-      Daemon.Frr
-        (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~xtras ())
+    match Daemon.host host with
+    | Daemon.Host ((module D), wrap) ->
+      wrap
+        (D.create ~telemetry ?vmm:dut_vmm ~sched
+           (D.config ~name:"dut" ~router_id:dut_addr ~local_as:dut_as
+              ~local_addr:dut_addr ~hold_time ~native_rr ~batch_updates
+              ~update_groups ~xtras ())
            (List.init npeers (fun i ->
                 {
-                  Frrouting.Bgpd.pname = Printf.sprintf "sink%d" i;
-                  remote_as = sink_as i;
-                  remote_addr = sink_addr i;
-                  rr_client = rr_client i;
-                  port = fst links.(i);
-                })))
-    | `Bird ->
-      Daemon.Bird
-        (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time ~native_rr
-              ~batch_updates ~update_groups ~xtras ())
-           (List.init npeers (fun i ->
-                {
-                  Bird.Bgpd.pname = Printf.sprintf "sink%d" i;
+                  Pipeline.Common.pname = Printf.sprintf "sink%d" i;
                   remote_as = sink_as i;
                   remote_addr = sink_addr i;
                   rr_client = rr_client i;

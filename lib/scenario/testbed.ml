@@ -56,11 +56,8 @@ type t = {
 
 let addr = Bgp.Prefix.addr_of_quad
 
-let frr_peer ?(rr_client = false) name remote_as remote_addr port =
-  { Frrouting.Bgpd.pname = name; remote_as; remote_addr; rr_client; port }
-
-let bird_peer ?(rr_client = false) name remote_as remote_addr port =
-  { Bird.Bgpd.pname = name; remote_as; remote_addr; rr_client; port }
+let peer ?(rr_client = false) name remote_as remote_addr port =
+  { Pipeline.Common.pname = name; remote_as; remote_addr; rr_client; port }
 
 let create (m : mode) : t =
   (* fresh-process semantics: a new testbed means new daemons *)
@@ -87,14 +84,14 @@ let create (m : mode) : t =
       (Frrouting.Bgpd.config ~name:"upstream" ~router_id:up_addr
          ~local_as:up_as ~local_addr:up_addr ~hold_time:m.hold_time
          ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
-      [ frr_peer "dut" dut_as dut_addr l1_up ]
+      [ peer "dut" dut_as dut_addr l1_up ]
   in
   let downstream =
     Frrouting.Bgpd.create ~telemetry ~sched
       (Frrouting.Bgpd.config ~name:"downstream" ~router_id:down_addr
          ~local_as:down_as ~local_addr:down_addr ~hold_time:m.hold_time
          ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
-      [ frr_peer "dut" dut_as dut_addr l2_down ]
+      [ peer "dut" dut_as dut_addr l2_down ]
   in
   let dut_vmm =
     Option.map
@@ -103,32 +100,29 @@ let create (m : mode) : t =
           ~host:"dut" manifest)
       m.manifest
   in
+  (* the DUT: either host's pipeline, over that host's ROA store *)
+  let dut_on (type d r)
+      (module D : Pipeline.S with type t = d and type roa_store = r)
+      (wrap : d -> Daemon.t) (roa_store : Rpki.Roa.t list -> r) =
+    wrap
+      (D.create ~telemetry ?vmm:dut_vmm ~sched
+         (D.config ~name:"dut" ~router_id:dut_addr ~local_as:dut_as
+            ~local_addr:dut_addr ~hold_time:m.hold_time ~native_rr:m.native_rr
+            ?native_ov:(Option.map roa_store m.native_ov_roas)
+            ~xtras:m.xtras ~batch_updates:m.batch_updates
+            ~update_groups:m.update_groups ())
+         [
+           peer "upstream" up_as up_addr l1_dut;
+           peer ~rr_client:true "downstream" down_as down_addr l2_dut;
+         ])
+  in
   let dut =
     match m.host with
     | `Frr ->
-      let native_ov = Option.map Rpki.Store_trie.of_list m.native_ov_roas in
-      Daemon.Frr
-        (Frrouting.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras
-              ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
-           [
-             frr_peer "upstream" up_as up_addr l1_dut;
-             frr_peer ~rr_client:true "downstream" down_as down_addr l2_dut;
-           ])
+      dut_on (module Frrouting.Bgpd) (fun d -> Daemon.Frr d)
+        Rpki.Store_trie.of_list
     | `Bird ->
-      let native_ov = Option.map Rpki.Store_hash.of_list m.native_ov_roas in
-      Daemon.Bird
-        (Bird.Bgpd.create ~telemetry ?vmm:dut_vmm ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:dut_addr
-              ~local_as:dut_as ~local_addr:dut_addr ~hold_time:m.hold_time
-              ~native_rr:m.native_rr ?native_ov ~xtras:m.xtras
-              ~batch_updates:m.batch_updates ~update_groups:m.update_groups ())
-           [
-             bird_peer "upstream" up_as up_addr l1_dut;
-             bird_peer ~rr_client:true "downstream" down_as down_addr l2_dut;
-           ])
+      dut_on (module Bird.Bgpd) (fun d -> Daemon.Bird d) Rpki.Store_hash.of_list
   in
   { sched; upstream; dut; downstream; dut_vmm; telemetry }
 

@@ -166,18 +166,21 @@ let prop_representations_agree =
 
 let addr = Bgp.Prefix.addr_of_quad
 
-let two_routers ?(as_a = 65001) ?(as_b = 65000) () =
+(* The daemon-level cases take the host's pipeline module, so each one
+   runs on FRR and on BIRD (see [daemon_cases]). *)
+let two_routers (type d) (module D : Pipeline.S with type t = d)
+    ?(as_a = 65001) ?(as_b = 65000) () =
   Frrouting.Attr_intern.reset_intern_table ();
   let sched = Netsim.Sched.create () in
   let a_addr = addr (10, 9, 0, 1) and b_addr = addr (10, 9, 0, 2) in
   let pa, pb = Netsim.Pipe.create sched in
-  let mk name own own_as peer_as peer_addr port =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name ~router_id:own ~local_as:own_as
-         ~local_addr:own ~hold_time:9 ())
+  let mk name own own_as peer_as peer_addr port : d =
+    D.create ~sched
+      (D.config ~name ~router_id:own ~local_as:own_as ~local_addr:own
+         ~hold_time:9 ())
       [
         {
-          Frrouting.Bgpd.pname = "peer";
+          Pipeline.Common.pname = "peer";
           remote_as = peer_as;
           remote_addr = peer_addr;
           rr_client = false;
@@ -187,8 +190,8 @@ let two_routers ?(as_a = 65001) ?(as_b = 65000) () =
   in
   let da = mk "a" a_addr as_a as_b b_addr pa in
   let db = mk "b" b_addr as_b as_a a_addr pb in
-  Frrouting.Bgpd.start da;
-  Frrouting.Bgpd.start db;
+  D.start da;
+  D.start db;
   ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
   (sched, da, db, a_addr)
 
@@ -199,59 +202,63 @@ let basic_attrs nh =
     Bgp.Attr.v (Bgp.Attr.Next_hop nh);
   ]
 
-let test_daemon_withdraw () =
-  let sched, da, db, a_addr = two_routers () in
-  let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate da p (basic_attrs a_addr);
-  ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
-  check_bool "learned" true (Frrouting.Bgpd.best_route db p <> None);
-  Frrouting.Bgpd.withdraw_local da p;
-  ignore (Netsim.Sched.run ~until:(8 * 1_000_000) sched);
-  check_bool "withdrawn" true (Frrouting.Bgpd.best_route db p = None);
-  check Alcotest.int "withdrawal counted" 1
-    (Frrouting.Bgpd.stats db).withdrawals_rx
+let best_path_asns attrs =
+  List.find_map
+    (fun (a : Bgp.Attr.t) ->
+      match a.value with
+      | Bgp.Attr.As_path segs -> Some (Bgp.Attr.as_path_asns segs)
+      | _ -> None)
+    attrs
 
-let test_daemon_ebgp_loop_rejected () =
-  let sched, da, db, a_addr = two_routers () in
+let test_daemon_withdraw (module D : Pipeline.S) () =
+  let sched, da, db, a_addr = two_routers (module D) () in
+  let p = Bgp.Prefix.of_string "203.0.113.0/24" in
+  D.originate da p (basic_attrs a_addr);
+  ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
+  check_bool "learned" true (D.best_route db p <> None);
+  D.withdraw_local da p;
+  ignore (Netsim.Sched.run ~until:(8 * 1_000_000) sched);
+  check_bool "withdrawn" true (D.best_route db p = None);
+  check Alcotest.int "withdrawal counted" 1 (D.stats db).withdrawals_rx
+
+let test_daemon_ebgp_loop_rejected (module D : Pipeline.S) () =
+  let sched, da, db, a_addr = two_routers (module D) () in
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
   (* path already contains B's AS: B must drop it *)
-  Frrouting.Bgpd.originate da p
+  D.originate da p
     [
       Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
       Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq [ 65000 ] ]);
       Bgp.Attr.v (Bgp.Attr.Next_hop a_addr);
     ];
   ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
-  check_bool "loop rejected" true (Frrouting.Bgpd.best_route db p = None)
+  check_bool "loop rejected" true (D.best_route db p = None)
 
-let test_daemon_update_packing () =
+let test_daemon_update_packing (module D : Pipeline.S) () =
   (* routes sharing one attribute set travel in few packed UPDATEs *)
-  let sched, da, db, a_addr = two_routers () in
+  let sched, da, db, a_addr = two_routers (module D) () in
   let attrs = basic_attrs a_addr in
   for i = 0 to 99 do
-    Frrouting.Bgpd.originate da
-      (Bgp.Prefix.v (addr (100, i, 0, 0)) 16)
-      attrs
+    D.originate da (Bgp.Prefix.v (addr (100, i, 0, 0)) 16) attrs
   done;
   ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
-  check Alcotest.int "all learned" 100 (Frrouting.Bgpd.loc_count db);
-  check_bool "packed into few updates" true
-    ((Frrouting.Bgpd.stats da).updates_tx <= 3)
+  check Alcotest.int "all learned" 100 (D.loc_count db);
+  check_bool "packed into few updates" true ((D.stats da).updates_tx <= 3)
 
-let test_daemon_session_loss_cleans_rib () =
-  let sched, da, db, a_addr = two_routers () in
+let test_daemon_session_loss_cleans_rib (module D : Pipeline.S) () =
+  let sched, da, db, a_addr = two_routers (module D) () in
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate da p (basic_attrs a_addr);
+  D.originate da p (basic_attrs a_addr);
   ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
-  check_bool "learned" true (Frrouting.Bgpd.best_route db p <> None);
+  check_bool "learned" true (D.best_route db p <> None);
   (* kill the link; the hold timer flushes the peer's routes *)
-  let peer = Frrouting.Bgpd.peer da 0 in
+  let peer = D.peer da 0 in
   Netsim.Pipe.set_up peer.conf.port false;
   ignore (Netsim.Sched.run ~until:(40 * 1_000_000) sched);
-  check_bool "session down" false (Frrouting.Bgpd.peer_established db 0);
-  check_bool "routes flushed" true (Frrouting.Bgpd.best_route db p = None)
+  check_bool "session down" false (D.peer_established db 0);
+  check_bool "routes flushed" true (D.best_route db p = None)
 
-let test_daemon_decision_prefers_shorter_path () =
+let test_daemon_decision_prefers_shorter_path (module D : Pipeline.S) () =
   (* B hears the same prefix from two eBGP neighbours with different
      path lengths and must pick the shorter *)
   Frrouting.Attr_intern.reset_intern_table ();
@@ -261,115 +268,115 @@ let test_daemon_decision_prefers_shorter_path () =
   and b = addr (10, 9, 1, 3) in
   let p1a, p1b = Netsim.Pipe.create sched in
   let p2a, p2b = Netsim.Pipe.create sched in
+  let conf pname remote_as remote_addr port =
+    { Pipeline.Common.pname; remote_as; remote_addr; rr_client = false; port }
+  in
   let feeder name own own_as port =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name ~router_id:own ~local_as:own_as
-         ~local_addr:own ())
-      [
-        {
-          Frrouting.Bgpd.pname = "b";
-          remote_as = 65000;
-          remote_addr = b;
-          rr_client = false;
-          port;
-        };
-      ]
+    D.create ~sched
+      (D.config ~name ~router_id:own ~local_as:own_as ~local_addr:own ())
+      [ conf "b" 65000 b port ]
   in
   let d1 = feeder "f1" a1 65001 p1a in
   let d2 = feeder "f2" a2 65002 p2a in
   let db =
-    Frrouting.Bgpd.create ~sched
-      (Frrouting.Bgpd.config ~name:"b" ~router_id:b ~local_as:65000
-         ~local_addr:b ())
-      [
-        {
-          Frrouting.Bgpd.pname = "f1";
-          remote_as = 65001;
-          remote_addr = a1;
-          rr_client = false;
-          port = p1b;
-        };
-        {
-          Frrouting.Bgpd.pname = "f2";
-          remote_as = 65002;
-          remote_addr = a2;
-          rr_client = false;
-          port = p2b;
-        };
-      ]
+    D.create ~sched
+      (D.config ~name:"b" ~router_id:b ~local_as:65000 ~local_addr:b ())
+      [ conf "f1" 65001 a1 p1b; conf "f2" 65002 a2 p2b ]
   in
-  List.iter Frrouting.Bgpd.start [ d1; d2; db ];
+  List.iter D.start [ d1; d2; db ];
   ignore (Netsim.Sched.run ~until:(2 * 1_000_000) sched);
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate d1 p
+  D.originate d1 p
     [
       Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
       Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq [ 300; 400 ] ]);
       Bgp.Attr.v (Bgp.Attr.Next_hop a1);
     ];
-  Frrouting.Bgpd.originate d2 p
+  D.originate d2 p
     [
       Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
       Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq [ 300 ] ]);
       Bgp.Attr.v (Bgp.Attr.Next_hop a2);
     ];
   ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
-  match Frrouting.Bgpd.best_route db p with
-  | Some r ->
-    check Alcotest.int "shorter path wins" 2 r.attrs.as_path_len;
-    check Alcotest.int "via f2" 65002
-      (Frrouting.Attr_intern.neighbor_as r.attrs)
+  match Option.bind (D.best_attrs db p) best_path_asns with
+  | Some path ->
+    check Alcotest.int "shorter path wins" 2 (List.length path);
+    check Alcotest.int "via f2" 65002 (List.hd path)
   | None -> Alcotest.fail "no route"
 
-let test_daemon_loop_implicit_withdrawal () =
+let test_daemon_loop_implicit_withdrawal (module D : Pipeline.S) () =
   (* RFC 4271: a received route whose AS_PATH contains the receiver's
      own AS is unfeasible — an IMPLICIT WITHDRAWAL of any earlier route
      for the same NLRI from that peer, not a silent no-op. Chaos seed
      2026 case 88 caught the silent-drop variant leaving a stale
      adj-rib-in entry that path hunting then locked into a ghost
      cycle. *)
-  let sched, da, db, a_addr = two_routers () in
+  let sched, da, db, a_addr = two_routers (module D) () in
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate da p (basic_attrs a_addr);
+  D.originate da p (basic_attrs a_addr);
   ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
-  check_bool "learned" true (Frrouting.Bgpd.best_route db p <> None);
+  check_bool "learned" true (D.best_route db p <> None);
   (* A now re-advertises the same prefix over a path that already
      contains B's AS (A prepends 65001, so B receives [65001 65000]) *)
-  Frrouting.Bgpd.originate da p
+  D.originate da p
     [
       Bgp.Attr.v (Bgp.Attr.Origin Bgp.Attr.Igp);
       Bgp.Attr.v (Bgp.Attr.As_path [ Bgp.Attr.Seq [ 65000 ] ]);
       Bgp.Attr.v (Bgp.Attr.Next_hop a_addr);
     ];
   ignore (Netsim.Sched.run ~until:(10 * 1_000_000) sched);
-  check_bool "stale route implicitly withdrawn" true
-    (Frrouting.Bgpd.best_route db p = None)
+  check_bool "stale route implicitly withdrawn" true (D.best_route db p = None)
 
-let test_daemon_wedged_handshake_recovers () =
+let test_daemon_wedged_handshake_recovers (module D : Pipeline.S) () =
   (* A session restarted while its pipe is still down loses its OPEN;
      without the FSM's connect retry (and the passive open answering a
      retry that lands in Idle) it would sit Open_sent until the hold
      timer closes it, then stay dead forever. *)
-  let sched, da, db, a_addr = two_routers () in
+  let sched, da, db, a_addr = two_routers (module D) () in
   let p = Bgp.Prefix.of_string "203.0.113.0/24" in
-  Frrouting.Bgpd.originate da p (basic_attrs a_addr);
+  D.originate da p (basic_attrs a_addr);
   ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
-  let port = (Frrouting.Bgpd.peer da 0).conf.port in
+  let port = (D.peer da 0).conf.port in
   Netsim.Pipe.set_up port false;
   ignore (Netsim.Sched.run ~until:(20 * 1_000_000) sched);
-  check_bool "session torn down" false (Frrouting.Bgpd.peer_established da 0);
+  check_bool "session torn down" false (D.peer_established da 0);
   (* restart into the still-down pipe: both OPENs are lost *)
-  Frrouting.Bgpd.restart_sessions da;
-  Frrouting.Bgpd.restart_sessions db;
+  D.restart_sessions da;
+  D.restart_sessions db;
   ignore (Netsim.Sched.run ~until:(22 * 1_000_000) sched);
   Netsim.Pipe.set_up port true;
   (* no further restart: recovery must come from the FSM itself, one
      hold interval after the lost OPENs *)
   ignore (Netsim.Sched.run ~until:(45 * 1_000_000) sched);
-  check_bool "A re-established" true (Frrouting.Bgpd.peer_established da 0);
-  check_bool "B re-established" true (Frrouting.Bgpd.peer_established db 0);
-  check_bool "route re-learned" true (Frrouting.Bgpd.best_route db p <> None)
+  check_bool "A re-established" true (D.peer_established da 0);
+  check_bool "B re-established" true (D.peer_established db 0);
+  check_bool "route re-learned" true (D.best_route db p <> None)
 
+let test_daemon_set_attr_malformed (module D : Pipeline.S) () =
+  (* the adapters' one error contract: a malformed TLV fails the
+     set_attr helper without raising and without touching the route *)
+  let sched, da, db, a_addr = two_routers (module D) () in
+  let p = Bgp.Prefix.of_string "203.0.113.0/24" in
+  D.originate da p (basic_attrs a_addr);
+  ignore (Netsim.Sched.run ~until:(5 * 1_000_000) sched);
+  match D.best_route db p with
+  | None -> Alcotest.fail "no route"
+  | Some r ->
+    List.iter
+      (fun (what, tlv) ->
+        let route = ref r in
+        check_bool (what ^ " fails") false (D.set_attr route tlv);
+        check_bool (what ^ " leaves the route") true (!route == r))
+      [
+        ("3-byte TLV", Bytes.of_string "\x40\x05\x00");
+        ("truncated payload", Bytes.of_string "\x40\x05\x00\x04\x00\x64");
+      ];
+    let route = ref r in
+    check_bool "well-formed TLV applies" true
+      (D.set_attr route
+         (Bgp.Attr.to_tlv (Bgp.Attr.v (Bgp.Attr.Local_pref 300))));
+    check_bool "route replaced" true (!route != r)
 
 (* churn property: after a random sequence of announcements and
    withdrawals, the receiving daemon converges to exactly the set of
@@ -382,7 +389,7 @@ let prop_churn_convergence =
   in
   QCheck2.Test.make ~count:25 ~name:"daemon converges under churn" gen
     (fun ops ->
-      let sched, da, db, a_addr = two_routers () in
+      let sched, da, db, a_addr = two_routers (module Frrouting.Bgpd) () in
       let prefixes =
         Array.init 10 (fun i -> Bgp.Prefix.v (addr (100, i, 0, 0)) 16)
       in
@@ -460,6 +467,20 @@ let test_bird_daemon_basics () =
   ignore (Netsim.Sched.run ~until:(8 * 1_000_000) sched);
   check_bool "withdrawn" true (Bird.Bgpd.best_route db p = None)
 
+(* the same cases, in the same order, on each host *)
+let daemon_cases (module D : Pipeline.S) =
+  let case name f = Alcotest.test_case name `Quick (f (module D : Pipeline.S)) in
+  [
+    case "withdraw propagation" test_daemon_withdraw;
+    case "eBGP loop rejection" test_daemon_ebgp_loop_rejected;
+    case "update packing" test_daemon_update_packing;
+    case "session loss cleans RIBs" test_daemon_session_loss_cleans_rib;
+    case "decision: shorter path" test_daemon_decision_prefers_shorter_path;
+    case "loop is implicit withdrawal" test_daemon_loop_implicit_withdrawal;
+    case "wedged handshake recovers" test_daemon_wedged_handshake_recovers;
+    case "set_attr rejects malformed TLVs" test_daemon_set_attr_malformed;
+  ]
+
 let () =
   let qc = Qc.to_alcotest in
   Alcotest.run "hosts"
@@ -481,22 +502,11 @@ let () =
           qc prop_representations_agree;
         ] );
       ( "daemon",
-        [
-          Alcotest.test_case "withdraw propagation" `Quick
-            test_daemon_withdraw;
-          Alcotest.test_case "eBGP loop rejection" `Quick
-            test_daemon_ebgp_loop_rejected;
-          Alcotest.test_case "update packing" `Quick test_daemon_update_packing;
-          Alcotest.test_case "session loss cleans RIBs" `Quick
-            test_daemon_session_loss_cleans_rib;
-          Alcotest.test_case "decision: shorter path" `Quick
-            test_daemon_decision_prefers_shorter_path;
-          Alcotest.test_case "loop is implicit withdrawal" `Quick
-            test_daemon_loop_implicit_withdrawal;
-          Alcotest.test_case "wedged handshake recovers" `Quick
-            test_daemon_wedged_handshake_recovers;
-          Alcotest.test_case "BIRD daemon basics" `Quick
-            test_bird_daemon_basics;
-          qc prop_churn_convergence;
-        ] );
+        daemon_cases (module Frrouting.Bgpd)
+        @ [
+            Alcotest.test_case "BIRD daemon basics" `Quick
+              test_bird_daemon_basics;
+            qc prop_churn_convergence;
+          ] );
+      ("bird-bgpd", daemon_cases (module Bird.Bgpd));
     ]

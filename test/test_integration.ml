@@ -781,25 +781,15 @@ let test_rib_add_helper host () =
   let addr = Bgp.Prefix.addr_of_quad in
   let d_addr = addr (10, 0, 0, 2) and s_addr = addr (10, 0, 0, 3) in
   let pa, pb = Netsim.Pipe.create sched in
-  let peer_conf_frr =
-    { Frrouting.Bgpd.pname = "sink"; remote_as = 65002;
-      remote_addr = s_addr; rr_client = false; port = pa }
-  in
   let dut =
-    match host with
-    | `Frr ->
-      Scenario.Daemon.Frr
-        (Frrouting.Bgpd.create ~vmm ~sched
-           (Frrouting.Bgpd.config ~name:"dut" ~router_id:d_addr
-              ~local_as:65000 ~local_addr:d_addr ())
-           [ peer_conf_frr ])
-    | `Bird ->
-      Scenario.Daemon.Bird
-        (Bird.Bgpd.create ~vmm ~sched
-           (Bird.Bgpd.config ~name:"dut" ~router_id:d_addr ~local_as:65000
+    match Scenario.Daemon.host host with
+    | Scenario.Daemon.Host ((module D), wrap) ->
+      wrap
+        (D.create ~vmm ~sched
+           (D.config ~name:"dut" ~router_id:d_addr ~local_as:65000
               ~local_addr:d_addr ())
            [
-             { Bird.Bgpd.pname = "sink"; remote_as = 65002;
+             { Pipeline.Common.pname = "sink"; remote_as = 65002;
                remote_addr = s_addr; rr_client = false; port = pa };
            ])
   in
